@@ -2,8 +2,9 @@
 
 Every benchmark regenerates one table or figure of the paper's evaluation
 (Section VI) on the scaled-down dataset stand-ins and writes the formatted
-rows to ``benchmarks/results/<experiment>.txt`` so the numbers behind each
-figure can be inspected after a run.
+rows to ``benchmarks/results/latest/<experiment>.txt`` so the numbers behind
+each figure can be inspected after a run.  That directory is gitignored: a
+test run never rewrites the reports checked in under ``benchmarks/results/``.
 
 The scale factor below trades fidelity for wall-clock time; raise it (e.g. to
 1.0) for a slower, closer-to-the-paper run.
@@ -22,13 +23,13 @@ GENERATED_DATASETS = ("Themarker", "Google", "DBLP", "Flixster", "Pokec")
 REAL_ATTRIBUTE_DATASETS = ("Aminer",)
 FAST_DATASETS = ("DBLP", "Aminer")
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(__file__).parent / "results" / "latest"
 
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     """Directory where each benchmark drops its formatted report."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
 
 

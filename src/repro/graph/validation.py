@@ -36,7 +36,11 @@ def validate_binary_attributes(graph: AttributedGraph) -> tuple[str, str]:
     returning an empty answer the caller usually wants to know the input was
     malformed; hence the explicit error.
     """
-    values = graph.attribute_values()
+    return validate_binary_values(graph.attribute_values())
+
+
+def validate_binary_values(values: tuple[str, ...]) -> tuple[str, str]:
+    """:func:`validate_binary_attributes` for an already-known value tuple."""
     if len(values) != 2:
         raise AttributeCountError(
             "the relative fair clique model requires exactly two attribute values; "

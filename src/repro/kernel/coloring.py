@@ -18,6 +18,7 @@ from repro.kernel.compile import GraphKernel
 def greedy_color_array(
     kernel: GraphKernel,
     scope_mask: int | None = None,
+    adjacency: list[int] | None = None,
 ) -> list[int]:
     """Color the vertices of ``scope_mask`` (default: all) greedily.
 
@@ -27,16 +28,25 @@ def greedy_color_array(
     processing order (non-increasing full-graph degree, ties by ``str(id)``),
     same smallest-free-color rule — expressed as "first color class bitset
     with no neighbour in it", which costs one AND per probed class.
+
+    ``adjacency`` substitutes per-vertex neighbour bitsets (a reduction
+    state's surviving edges, inside ``scope_mask``): degrees and
+    neighbourhoods are then read from it, which colors the survivors exactly
+    as ``greedy_coloring`` colors the materialised survivor graph.
     """
     members = list(range(kernel.n)) if scope_mask is None else bits_list(scope_mask)
-    degrees = kernel.degrees
     tie_keys = kernel.tie_keys
-    members.sort(key=lambda i: (-degrees[i], tie_keys[i]))
+    if adjacency is None:
+        rows = kernel.adj_bits
+        degrees = kernel.degrees
+        members.sort(key=lambda i: (-degrees[i], tie_keys[i]))
+    else:
+        rows = adjacency
+        members.sort(key=lambda i: (-rows[i].bit_count(), tie_keys[i]))
     colors = [-1] * kernel.n
-    adj_bits = kernel.adj_bits
     class_masks: list[int] = []
     for index in members:
-        neighbors = adj_bits[index]
+        neighbors = rows[index]
         for color, class_mask in enumerate(class_masks):
             if not neighbors & class_mask:
                 class_masks[color] = class_mask | (1 << index)

@@ -19,6 +19,7 @@ balanced-split degree encodes only-a/only-b/mixed arithmetic.
 from __future__ import annotations
 
 from repro.cores.enhanced import balanced_split_value
+from repro.kernel.bitops import bits_list
 from repro.kernel.compile import GraphKernel
 
 
@@ -27,19 +28,23 @@ def colorful_k_core_mask(
     k: int,
     colors: list[int],
     scope_mask: int | None = None,
+    *,
+    adjacency: list[int] | None = None,
 ) -> int:
     """Vertex bitset of the colorful ``k``-core (Definition 3) inside ``scope_mask``.
 
     Maintains, per vertex and attribute, a multiset of surviving neighbour
-    colors so each removal costs O(deg) dictionary updates.
+    colors so each removal costs O(deg) dictionary updates.  ``adjacency``
+    substitutes per-vertex neighbour bitsets for the kernel's ``adj_bits``
+    (a reduction state whose edges were peeled).
     """
     scope = kernel.full_mask if scope_mask is None else scope_mask
     if not scope:
         return 0
     attr_codes = kernel.attr_codes
     num_values = max(1, len(kernel.attribute_values))
-    indptr, indices = kernel.indptr, kernel.indices
     members = _bits(scope)
+    rows = _neighbor_rows(kernel, members, adjacency)
     # O(1) membership probes: single-bit tests on a wide int cost O(words).
     alive = bytearray(kernel.n)
     for vertex in members:
@@ -48,7 +53,7 @@ def colorful_k_core_mask(
     color_count: dict[int, tuple[dict[int, int], ...]] = {}
     for vertex in members:
         per_attr: tuple[dict[int, int], ...] = tuple({} for _ in range(num_values))
-        for neighbor in indices[indptr[vertex]:indptr[vertex + 1]]:
+        for neighbor in rows[vertex]:
             if alive[neighbor]:
                 bucket = per_attr[attr_codes[neighbor]]
                 color = colors[neighbor]
@@ -68,7 +73,7 @@ def colorful_k_core_mask(
         remaining &= ~(1 << vertex)
         vertex_attr = attr_codes[vertex]
         vertex_color = colors[vertex]
-        for neighbor in indices[indptr[vertex]:indptr[vertex + 1]]:
+        for neighbor in rows[vertex]:
             if alive[neighbor]:
                 bucket = color_count[neighbor][vertex_attr]
                 count = bucket.get(vertex_color, 0)
@@ -86,6 +91,8 @@ def enhanced_colorful_k_core_mask(
     k: int,
     colors: list[int],
     scope_mask: int | None = None,
+    *,
+    adjacency: list[int] | None = None,
 ) -> int:
     """Vertex bitset of the enhanced colorful ``k``-core (Definition 5).
 
@@ -93,11 +100,12 @@ def enhanced_colorful_k_core_mask(
     color-group structure of a neighbourhood, so affected vertices are
     recomputed from their surviving neighbours — same strategy as the dict
     implementation, with the membership test reduced to one shift.
+    ``adjacency`` substitutes neighbour bitsets for the kernel's ``adj_bits``.
     """
     scope = kernel.full_mask if scope_mask is None else scope_mask
     attr_codes = kernel.attr_codes
-    indptr, indices = kernel.indptr, kernel.indices
     members = _bits(scope)
+    rows = _neighbor_rows(kernel, members, adjacency)
     alive = bytearray(kernel.n)
     for vertex in members:
         alive[vertex] = 1
@@ -106,7 +114,7 @@ def enhanced_colorful_k_core_mask(
     def degree_of(vertex: int) -> int:
         colors_a = 0  # bitsets of colors per attribute side
         colors_b = 0
-        for neighbor in indices[indptr[vertex]:indptr[vertex + 1]]:
+        for neighbor in rows[vertex]:
             if alive[neighbor]:
                 if attr_codes[neighbor] == 0:
                     colors_a |= 1 << colors[neighbor]
@@ -130,7 +138,7 @@ def enhanced_colorful_k_core_mask(
             continue
         alive[vertex] = 0
         remaining &= ~(1 << vertex)
-        for neighbor in indices[indptr[vertex]:indptr[vertex + 1]]:
+        for neighbor in rows[vertex]:
             if alive[neighbor] and neighbor not in pending:
                 if degree_of(neighbor) < k:
                     queue.append(neighbor)
@@ -231,6 +239,14 @@ def colorful_core_order(kernel: GraphKernel, scope_mask: int) -> list:
     )
     vertex_of = kernel.vertex_of
     return [vertex_of[index] for index in ordered]
+
+
+def _neighbor_rows(
+    kernel: GraphKernel, members: list[int], adjacency: list[int] | None
+) -> dict:
+    """Neighbour lists of ``members`` from ``adjacency`` (default: the kernel's)."""
+    rows = kernel.adj_bits if adjacency is None else adjacency
+    return {v: bits_list(rows[v]) for v in members}
 
 
 def _bits(mask: int) -> list[int]:

@@ -28,7 +28,7 @@ from collections import deque
 from repro.coloring.greedy import Coloring, greedy_coloring
 from repro.graph.attributed_graph import AttributedGraph, Vertex
 from repro.graph.validation import validate_binary_attributes, validate_parameters
-from repro.reduction.core_reduction import ReductionResult
+from repro.reduction.core_reduction import ReductionResult, kernel_reduction
 
 EdgeKey = tuple[Vertex, Vertex]
 
@@ -96,14 +96,16 @@ def colorful_support_reduction(
     Lemma 3 with isolated vertices dropped.  The input graph is not modified.
 
     By default the peel runs on the compiled bitset kernel (same survivors —
-    the Lemma 3 subgraph is unique — at a fraction of the cost);
+    the Lemma 3 subgraph is unique — at a fraction of the cost), and
+    ``graph`` may also be the survivor state of a previous kernel stage
+    (see :func:`~repro.reduction.core_reduction.kernel_reduction`);
     ``use_kernel=False`` forces the original dict-based peel, kept for
     parity testing and as a reference implementation.
     """
     validate_parameters(k, 0)
-    attribute_a, attribute_b = validate_binary_attributes(graph)
     if use_kernel:
-        return _kernel_support_reduction(graph, k, coloring, enhanced=False)
+        return kernel_reduction(graph, k, coloring, support=True, enhanced=False)
+    attribute_a, attribute_b = validate_binary_attributes(graph)
     working = graph.copy()
     if coloring is None:
         coloring = greedy_coloring(graph)
@@ -175,41 +177,3 @@ def colorful_support_reduction(
         extra={"edges_peeled": graph.num_edges - working.num_edges},
     )
 
-
-def _kernel_support_reduction(
-    graph: AttributedGraph,
-    k: int,
-    coloring: Coloring | None,
-    enhanced: bool,
-) -> ReductionResult:
-    """Shared kernel fast path for ColorfulSup / EnColorfulSup.
-
-    Compiles the frozen snapshot, peels on bitset adjacency, and
-    materialises the surviving (isolated-vertex-free) subgraph back into an
-    :class:`AttributedGraph` for the next pipeline stage.
-    """
-    from repro.kernel import (
-        colorful_support_peel,
-        coloring_to_array,
-        enhanced_support_peel,
-        greedy_color_array,
-        survivors_mask,
-    )
-
-    kernel = graph.compile()
-    if coloring is None:
-        colors = greedy_color_array(kernel)
-    else:
-        colors = coloring_to_array(kernel, coloring)
-    peel = enhanced_support_peel if enhanced else colorful_support_peel
-    adjacency, edges_peeled = peel(kernel, k, colors)
-    reduced = kernel.materialize(survivors_mask(adjacency), adjacency)
-    return ReductionResult(
-        name="EnColorfulSup" if enhanced else "ColorfulSup",
-        graph=reduced,
-        vertices_before=graph.num_vertices,
-        vertices_after=reduced.num_vertices,
-        edges_before=graph.num_edges,
-        edges_after=reduced.num_edges,
-        extra={"edges_peeled": edges_peeled},
-    )

@@ -30,7 +30,7 @@ from repro.coloring.greedy import Coloring, greedy_coloring
 from repro.graph.attributed_graph import AttributedGraph, Vertex
 from repro.graph.validation import validate_binary_attributes, validate_parameters
 from repro.reduction.colorful_support import EdgeKey, edge_key, support_thresholds
-from repro.reduction.core_reduction import ReductionResult
+from repro.reduction.core_reduction import ReductionResult, kernel_reduction
 
 
 def enhanced_supports_for_groups(
@@ -171,14 +171,13 @@ def enhanced_colorful_support_reduction(
     the plain colorful support and therefore peels at least as many edges.
 
     Runs on the compiled bitset kernel by default (identical survivors, much
-    cheaper); ``use_kernel=False`` forces the dict-based reference peel.
+    cheaper; ``graph`` may also be a previous kernel stage's survivor state);
+    ``use_kernel=False`` forces the dict-based reference peel.
     """
     validate_parameters(k, 0)
-    attribute_a, attribute_b = validate_binary_attributes(graph)
     if use_kernel:
-        from repro.reduction.colorful_support import _kernel_support_reduction
-
-        return _kernel_support_reduction(graph, k, coloring, enhanced=True)
+        return kernel_reduction(graph, k, coloring, support=True, enhanced=True)
+    attribute_a, attribute_b = validate_binary_attributes(graph)
     working = graph.copy()
     if coloring is None:
         coloring = greedy_coloring(graph)

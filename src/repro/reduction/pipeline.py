@@ -28,6 +28,8 @@ from repro.resilience import faults
 
 #: Stage callables take ``(graph, k, coloring)`` positionally and must accept
 #: a keyword-only ``use_kernel`` flag selecting the bitset or dict code path.
+#: On the kernel path ``graph`` may also be the previous stage's
+#: :class:`~repro.kernel.reduce.SurvivorState`.
 ReductionStage = Callable[[AttributedGraph, int, Coloring | None], ReductionResult]
 
 STAGE_REGISTRY: dict[str, ReductionStage] = {
@@ -124,6 +126,11 @@ class ReductionPipeline:
         The coloring, when provided, is reused by the first stage only;
         subsequent stages recolor the (smaller) surviving graph because the
         peeled graph may admit a tighter coloring.
+
+        On the kernel path the input is compiled once and each stage hands
+        the next its :class:`~repro.kernel.reduce.SurvivorState`; only the
+        final survivors are materialised (intermediate stage graphs are
+        built on first access).
         """
         validate_parameters(k, 0)
         current = graph
@@ -134,10 +141,10 @@ class ReductionPipeline:
             stage_coloring = coloring if index == 0 else None
             result = stage(current, k, stage_coloring, use_kernel=self.use_kernel)
             results.append(result)
-            current = result.graph
-            if current.num_vertices == 0:
+            current = result.survivors if self.use_kernel else result.graph
+            if result.vertices_after == 0:
                 break
-        return PipelineResult(graph=current, stages=results)
+        return PipelineResult(graph=results[-1].graph if results else graph, stages=results)
 
 
 def reduce_graph(
